@@ -105,8 +105,9 @@ pub struct BackendResult {
     pub sequential_clips_per_s: f64,
     /// Best *paired* batched/sequential throughput ratio: each rep times
     /// one batched drain and one sequential loop back-to-back, and the
-    /// best rep's ratio is reported. On a quiet host this converges to
-    /// the true ratio; co-tenant interference can only lower it.
+    /// best rep's ratio is reported. This best-of-pairs ratio is biased
+    /// upward: a noise burst during a pair's sequential half inflates
+    /// that pair's ratio, and the maximum picks it.
     pub batched_speedup: f64,
     /// `true` when every batched logit bit-matched the sequential loop.
     pub bitwise_equal: bool,
@@ -155,8 +156,9 @@ struct PairedTiming {
 /// and then all sequential reps puts the two sides in different
 /// interference windows, so frequency drift or a co-tenant burst shows
 /// up as a phantom speedup or slowdown. A *paired* rep times both sides
-/// back-to-back under the same conditions; the best pair is the cleanest
-/// head-to-head the host allowed, and external noise can only lower it.
+/// back-to-back under the same conditions. Taking the best pair biases
+/// the ratio upward, though: a noise burst during a pair's sequential
+/// half inflates that pair's ratio, and the maximum picks it.
 fn time_paired(
     engine: &mut dyn InferenceEngine,
     mut seq_step: impl FnMut(&Tensor, &mut Vec<Vec<u32>>),

@@ -15,8 +15,9 @@
 //! Timing is *paired interleaved* exactly as in
 //! [`crate::infer::run_inference_throughput`]: each rep times one
 //! pipelined run and one serial run back to back and the best per-rep
-//! ratio is reported, so co-tenant noise can only lower the measured
-//! speedup.
+//! ratio is reported. That estimator is biased upward: a noise burst
+//! during a pair's serial half inflates that pair's ratio, and the
+//! maximum picks it.
 //!
 //! Run the full benchmark with:
 //!
@@ -259,7 +260,7 @@ pub fn run_ingest_throughput(cfg: &IngestBenchConfig) -> IngestBenchReport {
         let mut seq_net: Sequential = build_network(&spec, cfg.seed);
         // The arena persists across reps: its buffers are the steady
         // state whose absence of growth the report pins.
-        let arena = ClipArena::new(cfg.clip_shape(), cfg.depth + cfg.workers + cfg.batch);
+        let arena = ClipArena::new(cfg.clip_shape(), cfg.depth + cfg.batch);
 
         // Warm-up: sizes engine arenas, spawns pool workers, faults in
         // the container's pages, and settles the clip arena.

@@ -4,8 +4,7 @@
 //! `Conv3d` layer at several `P3D_THREADS` settings (forced via
 //! [`p3d_tensor::parallel::set_thread_override`]), checks every parallel
 //! result against the serial baseline, and renders the result as a small
-//! hand-rolled JSON document (the workspace's serde stand-in is
-//! derive-only, so no JSON backend exists to lean on).
+//! hand-rolled JSON document (the workspace has no JSON dependency).
 //!
 //! Speedups use the **paired interleaved estimator** of the inference
 //! bench (`infer::time_paired`): each rep times the two sides under
@@ -14,8 +13,9 @@
 //! ratio is reported. Timing the sides in separate phases put them in
 //! different interference windows on a small shared host, which showed
 //! up as ~25% phantom variance in identical-work measurements; a paired
-//! rep cancels drift, and co-tenant noise can only make the best pair
-//! look *worse*, never better.
+//! rep cancels slow drift. The best-of-pairs ratio is still biased
+//! upward: a noise burst during a pair's baseline half inflates that
+//! pair's ratio, and the maximum picks it.
 //!
 //! Run the full benchmark with:
 //!
@@ -189,8 +189,10 @@ struct StepOutput {
 /// the same prepared layer, and the speedup is the best per-rep ratio
 /// (see the module docs for why pairing beats separate phases).
 fn run_at(cfg: &Conv3dBenchConfig, threads: usize) -> StepOutput {
-    let mut bench = StepBench::new(cfg);
+    // Set the override before the setup so that building the weights and
+    // inputs also runs at `threads` workers, not the host default.
     set_thread_override(Some(threads));
+    let mut bench = StepBench::new(cfg);
     let (forward, grad_in, grad_w) = bench.outputs();
     let mut best_ms = f64::INFINITY;
     let mut paired_speedup: f64 = if threads == 1 { 1.0 } else { 0.0 };

@@ -65,9 +65,10 @@ fn batched_engine_beats_sequential_at_8_threads() {
 /// worker and both sides of a pair read per-rep clones.
 ///
 /// `batched_speedup` is the best *paired* ratio over `reps` interleaved
-/// head-to-head measurements, so external interference can only lower
-/// it; eight pairs keep the false-failure probability negligible while a
-/// systematic regression (every pair slow) still fails.
+/// head-to-head measurements. That estimator is biased upward: a noise
+/// burst during a pair's sequential half inflates that pair's ratio, and
+/// the maximum picks it. A systematic regression (every pair slow) still
+/// fails.
 #[test]
 fn sim_batched_never_slower_than_sequential() {
     let cfg = InferBenchConfig {

@@ -11,8 +11,9 @@
 //! arena-recycled clip buffers vs fresh allocations per clip. Measured
 //! 2.3-2.9x across 1-4 threads; the gate sits at 1.5x, below that band
 //! by more than its spread. The ratio is the best *paired interleaved*
-//! estimate per rep, so co-tenant noise can only lower it — a failure
-//! means the data plane actually regressed.
+//! estimate over the reps, which is biased upward: a noise burst during
+//! a pair's serial half inflates that pair's ratio, and the maximum
+//! picks it.
 //!
 //! Debug builds skip the timing (`gemm_perf` precedent) but still pin
 //! the bitwise identity and the zero-growth steady state, which is the

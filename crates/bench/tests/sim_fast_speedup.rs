@@ -7,9 +7,9 @@
 //!
 //! The ratio is the best *paired interleaved* estimate: each rep times
 //! one cycle-engine forward and one functional forward back to back and
-//! the gate takes the best per-rep ratio, so co-tenant noise can only
-//! lower the measured speedup — a failure means the fast path actually
-//! regressed, not that a neighbour was busy.
+//! the gate takes the best per-rep ratio. That estimator is biased
+//! upward: a noise burst during a pair's cycle-engine half inflates that
+//! pair's ratio, and the maximum picks it.
 //!
 //! Debug builds skip the timing (`gemm_perf` precedent) but still pin
 //! the bitwise identity of the two engines end to end — logits,

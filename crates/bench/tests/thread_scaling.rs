@@ -19,9 +19,9 @@
 //!    the bitwise checks run in both profiles.
 //!
 //! The speedup numbers are best *paired* ratios (each rep times the
-//! serial and threaded step back-to-back), so co-tenant interference can
-//! only lower them — a failure means systematic overhead, not a noisy
-//! neighbour.
+//! serial and threaded step back-to-back). That estimator is biased
+//! upward: a noise burst during a pair's serial half inflates that
+//! pair's ratio, and the maximum picks it.
 
 use p3d_bench::throughput::{run_conv3d_throughput, Conv3dBenchConfig};
 use p3d_tensor::parallel::pool_stats;

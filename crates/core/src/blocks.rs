@@ -8,10 +8,9 @@
 //! do not divide `M`/`N`.
 
 use p3d_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// The block size `(Tm, Tn)` shared by the pruner and the FPGA design.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BlockShape {
     /// Output-channel tile `Tm`.
     pub tm: usize,
@@ -32,7 +31,7 @@ impl BlockShape {
 }
 
 /// The block grid of one conv weight tensor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockGrid {
     /// Output channels `M`.
     pub m: usize,

@@ -6,14 +6,12 @@
 //! module defines that artifact and its serialisation.
 
 use crate::blocks::{BlockGrid, BlockShape};
-use bytes::{BufMut, Bytes, BytesMut};
 use p3d_nn::Layer;
 use p3d_tensor::BlockPattern;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The block-enable map of one convolution layer.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LayerBlockMask {
     /// The layer's block grid.
     pub grid: BlockGrid,
@@ -73,24 +71,25 @@ impl LayerBlockMask {
         self.kept_params() / self.grid.kernel_volume
     }
 
-    /// Packs the keep flags into a little-endian bitmap, 8 blocks per
-    /// byte — the "pre-stored array" format the simulator loads.
-    pub fn to_bitmap(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.keep.len().div_ceil(8));
+    /// Packs the keep flags into an LSB-first bitmap, 8 blocks per byte
+    /// with a trailing partial byte — the "pre-stored array" format the
+    /// simulator loads.
+    pub fn to_bitmap(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.keep.len().div_ceil(8));
         let mut byte = 0u8;
         for (i, &k) in self.keep.iter().enumerate() {
             if k {
                 byte |= 1 << (i % 8);
             }
             if i % 8 == 7 {
-                buf.put_u8(byte);
+                buf.push(byte);
                 byte = 0;
             }
         }
         if !self.keep.len().is_multiple_of(8) {
-            buf.put_u8(byte);
+            buf.push(byte);
         }
-        buf.freeze()
+        buf
     }
 
     /// Lowers this mask to the matrix-coordinate [`BlockPattern`] the
@@ -133,7 +132,7 @@ impl LayerBlockMask {
 /// The pruned model artifact: a block-enable map per (spec) layer name.
 ///
 /// Layers absent from the map are unpruned (all blocks enabled).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PrunedModel {
     /// The block shape shared with the FPGA tiling.
     pub block_shape: Option<BlockShape>,
@@ -223,6 +222,8 @@ mod tests {
         let m = demo_mask();
         let bits = m.to_bitmap();
         assert_eq!(bits.len(), 1);
+        // Blocks 0, 2 and 5 enabled, LSB first, partial trailing byte.
+        assert_eq!(bits, [0b0010_0101]);
         let back = LayerBlockMask::from_bitmap(m.grid, &bits);
         assert_eq!(back, m);
     }

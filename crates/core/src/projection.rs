@@ -7,7 +7,6 @@
 
 use crate::blocks::BlockGrid;
 use p3d_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// How the kept-block count `E_i` is derived from `(1 - eta) * B`.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// rounding open; the choice affects the achieved pruning rate on layers
 /// whose block count is small. [`KeepRule::Round`] is the default and
 /// lands closest to the paper's reported 9.85x / 4.85x stage rates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KeepRule {
     /// `E = floor((1-eta) * B)` — strictly satisfies Eq. 1.
     Floor,
@@ -43,7 +42,7 @@ impl KeepRule {
 }
 
 /// The outcome of a projection: which blocks survived.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProjectionResult {
     /// Keep flags in flat block order (`true` = block survives).
     pub keep: Vec<bool>,

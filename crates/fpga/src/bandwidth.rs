@@ -11,10 +11,9 @@ use crate::config::AcceleratorConfig;
 use crate::latency::{conv_latency, DoubleBuffering};
 use p3d_core::{LayerBlockMask, PrunedModel};
 use p3d_models::{ConvInstance, NetworkSpec};
-use serde::{Deserialize, Serialize};
 
 /// Off-chip traffic of one layer, in 16-bit words.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Traffic {
     /// Weight words loaded (skipped blocks load nothing).
     pub weight_words: u64,
@@ -37,7 +36,7 @@ impl Traffic {
 }
 
 /// Traffic + derived roofline quantities for one layer.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LayerTraffic {
     /// Layer name.
     pub name: String,

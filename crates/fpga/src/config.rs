@@ -1,10 +1,9 @@
 //! Accelerator and board configuration.
 
 use p3d_core::BlockShape;
-use serde::{Deserialize, Serialize};
 
 /// The five-dimensional tiling `(Tm, Tn, Td, Tr, Tc)` of Section IV.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Tiling {
     /// Output-channel tile `Tm`.
     pub tm: usize,
@@ -61,7 +60,7 @@ impl Tiling {
 
 /// Memory-port widths in 16-bit words per cycle for weights, input
 /// features and output features (`p_wgt`, `p_in`, `p_out` in Eqs. 19–21).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ports {
     /// Weight-load words per cycle.
     pub wgt: usize,
@@ -101,7 +100,7 @@ impl Ports {
 }
 
 /// An FPGA board's resource budget.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Board {
     /// Board name.
     pub name: String,
@@ -141,7 +140,7 @@ impl Board {
 }
 
 /// The full accelerator configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AcceleratorConfig {
     /// Loop tiling.
     pub tiling: Tiling,

@@ -7,10 +7,9 @@ use crate::latency::{network_latency, DoubleBuffering};
 use crate::resources::{estimate_resources, fits, ResourceEstimate};
 use p3d_core::PrunedModel;
 use p3d_models::NetworkSpec;
-use serde::{Deserialize, Serialize};
 
 /// The search space.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SearchSpace {
     /// Candidate `Tm` values.
     pub tm: Vec<usize>,
@@ -65,7 +64,7 @@ impl SearchSpace {
 }
 
 /// One evaluated design point.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DesignPoint {
     /// The tiling.
     pub tiling: Tiling,

@@ -6,12 +6,11 @@
 use crate::config::{AcceleratorConfig, Ports, Tiling};
 use p3d_core::{LayerBlockMask, PrunedModel};
 use p3d_models::{ConvInstance, NetworkSpec, Node};
-use serde::{Deserialize, Serialize};
 
 /// Whether the design overlaps transfers with compute (Section IV-A:
 /// "the double buffering technique is utilized to reduce the latency").
 /// `Off` exists for the ablation bench.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DoubleBuffering {
     /// Transfers overlap compute: `t_L3 = max(t_wgt, t_in, t_comp)`.
     On,
@@ -20,7 +19,7 @@ pub enum DoubleBuffering {
 }
 
 /// Which term dominates `t_L3` for a layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Bottleneck {
     /// Weight loading dominates.
     WeightLoad,
@@ -31,7 +30,7 @@ pub enum Bottleneck {
 }
 
 /// Latency breakdown of one convolution layer.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LayerLatency {
     /// Layer name.
     pub name: String,
@@ -52,7 +51,7 @@ pub struct LayerLatency {
 }
 
 /// Latency of a whole network.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkLatency {
     /// Per-conv-layer breakdown in execution order.
     pub layers: Vec<LayerLatency>,

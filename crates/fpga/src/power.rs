@@ -11,11 +11,10 @@
 
 use crate::config::AcceleratorConfig;
 use crate::resources::ResourceEstimate;
-use serde::{Deserialize, Serialize};
 
 /// A two-term power model: `P = static_w + per_dsp_w * dsps`, scaled
 /// linearly with clock frequency relative to the calibration clock.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerModel {
     /// Static + infrastructure power in watts (PS, DRAM, clocking).
     pub static_w: f64,

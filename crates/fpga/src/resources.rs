@@ -4,7 +4,6 @@
 
 use crate::config::{AcceleratorConfig, Board, Tiling};
 use p3d_models::ConvInstance;
-use serde::{Deserialize, Serialize};
 
 /// `K_size`: the largest kernel volume over the network's conv layers
 /// (Eq. 17, first line). Buffers are sized for the worst layer so one
@@ -33,7 +32,7 @@ pub fn i_size(instances: &[ConvInstance], tiling: &Tiling) -> usize {
 }
 
 /// Buffer sizes in 16-bit words (Eqs. 14–16, including double buffering).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BufferWords {
     /// Output buffer `B_out = 2 * Tm * Td * Tr * Tc`.
     pub output: usize,
@@ -60,7 +59,7 @@ impl BufferWords {
 }
 
 /// Estimated resource usage of one accelerator configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ResourceEstimate {
     /// DSP slices: `Tm * Tn` MAC units plus a calibrated overhead for
     /// address generation and post-processing.

@@ -18,10 +18,9 @@ use p3d_core::LayerBlockMask;
 use p3d_models::ConvInstance;
 use p3d_tensor::fixed::MacAccumulator;
 use p3d_tensor::{FixedTensor, Shape};
-use serde::{Deserialize, Serialize};
 
 /// Execution statistics of one simulated convolution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConvStats {
     /// Cycle count accumulated from the executed loop structure
     /// (independent reconstruction of Eqs. 23–25).

@@ -3,10 +3,8 @@
 //! parameter/operation counts (`summary`), and FPGA latency/resource
 //! models (the `p3d-fpga` crate).
 
-use serde::{Deserialize, Serialize};
-
 /// Specification of one 3D convolution.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Conv3dSpec {
     /// Unique layer name, e.g. `"conv3_1.spatial"`.
     pub name: String,
@@ -49,7 +47,7 @@ impl Conv3dSpec {
 }
 
 /// One node of a network graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Node {
     /// A 3D convolution.
     Conv(Conv3dSpec),
@@ -93,7 +91,7 @@ pub enum Node {
 }
 
 /// A complete network specification.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkSpec {
     /// Network name, e.g. `"R(2+1)D-18"`.
     pub name: String,
@@ -108,7 +106,7 @@ pub type FeatShape = (usize, usize, usize, usize);
 
 /// A convolution *instance*: its spec plus the resolved input/output
 /// feature-map shapes. This is the unit the FPGA models consume.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConvInstance {
     /// The convolution specification.
     pub spec: Conv3dSpec,

@@ -3,7 +3,6 @@
 
 use crate::arena::{BufId, EvalArena};
 use p3d_tensor::{BlockPattern, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Whether a forward pass is part of training or evaluation.
 ///
@@ -21,7 +20,7 @@ pub enum Mode {
 ///
 /// The ADMM pruner targets [`ParamKind::ConvWeight`] parameters only, as in
 /// the paper ("our weight pruning focuses on the CONV layers").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ParamKind {
     /// A convolution weight tensor `[M, N, Kd, Kr, Kc]`.
     ConvWeight,

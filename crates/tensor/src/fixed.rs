@@ -8,7 +8,6 @@
 //! models exactly that.
 
 use crate::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -34,7 +33,7 @@ pub const SCALE: f32 = (1 << FRAC_BITS) as f32;
 /// assert_eq!((a * b).to_f32(), -0.375);
 /// assert_eq!(Fixed16::from_f32(500.0), Fixed16::MAX); // saturates
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct Fixed16(i16);
 
@@ -272,7 +271,7 @@ impl MacAccumulator {
 
 /// A dense tensor of [`Fixed16`] values: the on-chip representation used
 /// by the FPGA functional simulator.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct FixedTensor {
     shape: Shape,
     data: Vec<Fixed16>,

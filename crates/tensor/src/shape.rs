@@ -1,6 +1,5 @@
 //! Shape and stride algebra for dense row-major tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of dimensions supported.
@@ -27,7 +26,7 @@ pub const MAX_RANK: usize = 5;
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// assert_eq!(s.offset(&[1, 2, 3]), 23);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: [usize; MAX_RANK],
     rank: usize,

@@ -5,7 +5,6 @@ use crate::shape::Shape;
 // this module before the packed/block-sparse rework moved them to
 // [`crate::gemm`].
 pub use crate::gemm::{gemm_into, gemm_nt_into};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
@@ -29,7 +28,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// assert_eq!(t.get(&[1, 2]), 5.0);
 /// assert_eq!(t.sum(), 5.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

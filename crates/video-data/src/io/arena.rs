@@ -92,9 +92,12 @@ impl ClipArena {
             Some(buf) => buf,
             None => {
                 self.shared.grow_events.fetch_add(1, Ordering::Relaxed);
-                self.shared.buffers.fetch_add(1, Ordering::Relaxed);
+                let buffers = self.shared.buffers.fetch_add(1, Ordering::Relaxed) + 1;
+                // Room for every buffer, so their releases never
+                // reallocate the list.
                 let mut free = lock_free(&self.shared.free);
-                free.reserve_exact(1);
+                let len = free.len();
+                free.reserve_exact(buffers.saturating_sub(len));
                 drop(free);
                 vec![0.0f32; self.shared.clip_len]
             }

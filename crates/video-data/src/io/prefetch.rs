@@ -46,7 +46,8 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 #[derive(Clone, Copy, Debug)]
 pub struct PrefetchConfig {
     /// Ready-ring depth N: how many decoded clips may sit ahead of the
-    /// consumer. Bounds memory to `depth + workers` arena clips.
+    /// consumer. Bounds the workers' arena use to `depth` clips, on top
+    /// of those the consumer still holds.
     pub depth: usize,
     /// Number of dedicated decode threads.
     pub workers: usize,
@@ -344,7 +345,10 @@ fn worker_loop(
 
     let mut clip_idx = first_clip;
     while clip_idx < total_clips {
-        if ring.stop.load(Ordering::SeqCst) {
+        // Acquire no buffer before the clip's slot is free: a worker
+        // that decoded ahead of the window would hold a buffer beyond
+        // the `depth` the ring accounts for and grow the arena.
+        if !wait_for_slot(&ring, clip_idx, cfg.depth as u64) {
             return;
         }
         let t0 = Instant::now();
@@ -406,28 +410,40 @@ fn decode_clip(
     Ok(clip)
 }
 
-/// Parks until ring slot `clip_idx % depth` is free for this clip,
-/// then publishes it. Returns `false` on stop/poison.
-fn place(ring: &Ring, clip_idx: u64, clip: ArenaClip, busy: Duration, depth: u64) -> bool {
-    let slot = (clip_idx % depth) as usize;
+/// Parks until ring slot `clip_idx % depth` is free for this clip.
+/// Returns `false` on stop/poison.
+fn wait_for_slot(ring: &Ring, clip_idx: u64, depth: u64) -> bool {
     let mut st = ring.lock();
     loop {
         if ring.stop.load(Ordering::SeqCst) || st.failed.is_some() {
-            // Dropping `clip` here returns its buffer to the arena.
             return false;
         }
-        // The slot must be empty AND within the consumer's window —
-        // slot identity alone is not enough, or clip k could land
-        // before clip k-depth has even been produced by another worker.
-        if st.slots[slot].is_none() && clip_idx < st.next_out + depth {
-            st.slots[slot] = Some(clip);
-            st.decode_busy += busy;
-            drop(st);
-            ring.slot_ready.notify_all();
+        // The clip must be within the consumer's window — slot identity
+        // alone is not enough, or clip k could land before clip k-depth
+        // has even been produced by another worker. Inside the window
+        // the slot is empty: its previous clip, k-depth, was taken.
+        if clip_idx < st.next_out + depth {
             return true;
         }
         st = ring.slot_free.wait(st).unwrap_or_else(|e| e.into_inner());
     }
+}
+
+/// Publishes a decoded clip into its slot, which [`wait_for_slot`]
+/// found free. Returns `false` on stop/poison.
+fn place(ring: &Ring, clip_idx: u64, clip: ArenaClip, busy: Duration, depth: u64) -> bool {
+    let slot = (clip_idx % depth) as usize;
+    let mut st = ring.lock();
+    if ring.stop.load(Ordering::SeqCst) || st.failed.is_some() {
+        // Dropping `clip` here returns its buffer to the arena.
+        return false;
+    }
+    debug_assert!(st.slots[slot].is_none() && clip_idx < st.next_out + depth);
+    st.slots[slot] = Some(clip);
+    st.decode_busy += busy;
+    drop(st);
+    ring.slot_ready.notify_all();
+    true
 }
 
 /// The deliberately simple serial baseline: sequentially reads the

@@ -97,7 +97,7 @@ fn pipeline_matches_serial_reference_at_any_geometry() {
         }
     }
     // 8 preallocated buffers cover every geometry above (max in-flight
-    // = depth + workers + 1 held by the consumer): the arena never grew.
+    // = depth + 1 held by the consumer): the arena never grew.
     assert_eq!(arena.stats().grow_events, 0, "warm arena grew");
     assert_eq!(arena.stats().free, 8, "buffers leaked");
 }

@@ -1238,7 +1238,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
         preprocess,
         fault_clip: None,
     };
-    let arena = ClipArena::new(pcfg.clip_shape(), depth + workers + batch);
+    let arena = ClipArena::new(pcfg.clip_shape(), depth + batch);
     let path = std::path::Path::new(&input);
 
     let t0 = std::time::Instant::now();
