@@ -5,7 +5,8 @@
 //! setting `P3D_THREADS`), validates every parallel run against the
 //! serial baseline to 1e-5, sweeps 0/50/70/90 % of `Tm x Tk` weight
 //! blocks pruned through the block-CSR forward (bitwise-checked against
-//! dense), prints both tables, and writes `BENCH_conv3d.json` into the
+//! dense; median paired speedup with its IQR, the 0% row as the null
+//! control), prints both tables, and writes `BENCH_conv3d.json` into the
 //! current directory.
 
 use p3d_bench::throughput::{
@@ -34,7 +35,7 @@ fn main() {
 
     let sweep_cfg = SparsitySweepConfig::standard();
     println!(
-        "\nblock-sparse forward sweep: tile {:?}, 1 thread, best of {} reps\n",
+        "\nblock-sparse forward sweep: tile {:?}, 1 thread, median of {} ABBA-ordered pairs\n",
         sweep_cfg.tile, sweep_cfg.conv.reps
     );
     let sweep = run_sparsity_sweep(&sweep_cfg);
@@ -44,6 +45,7 @@ fn main() {
         "Dense (ms)",
         "Sparse (ms)",
         "Speedup",
+        "IQR",
         "Eff. GFLOP/s",
         "Bitwise",
     ]);
@@ -54,11 +56,22 @@ fn main() {
             format!("{:.2}", r.dense_ms),
             format!("{:.2}", r.sparse_ms),
             format!("{:.2}x", r.speedup_vs_dense),
+            format!("{:.2}", r.speedup_iqr),
             format!("{:.2}", r.effective_gflops),
             r.bitwise_equal.to_string(),
         ]);
     }
     println!("{}", t.render());
+    // The 0% row runs the dense kernel on both sides: its ratio is the
+    // null control for the rows below it.
+    if let Some(null) = sweep.results.iter().find(|r| r.pruned_fraction == 0.0) {
+        let verdict = if (0.95..=1.05).contains(&null.speedup_vs_dense) {
+            "within [0.95, 1.05]"
+        } else {
+            "outside [0.95, 1.05]: this run is too noisy to judge"
+        };
+        println!("null control (0% row): {:.3}x, {verdict}", null.speedup_vs_dense);
+    }
 
     let json = report.to_json_with_sweep(Some(&sweep));
     let path = "BENCH_conv3d.json";

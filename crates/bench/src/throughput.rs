@@ -6,16 +6,21 @@
 //! result against the serial baseline, and renders the result as a small
 //! hand-rolled JSON document (the workspace has no JSON dependency).
 //!
-//! Speedups use the **paired interleaved estimator** of the inference
-//! bench (`infer::time_paired`): each rep times the two sides under
+//! Speedups are **paired**: each rep times the two sides under
 //! comparison back-to-back — serial vs `t`-thread for the scaling rows,
-//! dense vs block-sparse for the sparsity sweep — and the best per-rep
-//! ratio is reported. Timing the sides in separate phases put them in
-//! different interference windows on a small shared host, which showed
-//! up as ~25% phantom variance in identical-work measurements; a paired
-//! rep cancels slow drift. The best-of-pairs ratio is still biased
-//! upward: a noise burst during a pair's baseline half inflates that
-//! pair's ratio, and the maximum picks it.
+//! dense vs block-sparse for the sparsity sweep. Timing the sides in
+//! separate phases put them in different interference windows on a
+//! small shared host, which showed up as ~25% phantom variance in
+//! identical-work measurements; a paired rep cancels slow drift.
+//!
+//! The scaling rows report the best per-rep ratio (as
+//! `infer::time_paired` does). That estimator is biased upward: a noise
+//! burst during a pair's baseline half inflates that pair's ratio, and
+//! the maximum picks it. The sparsity sweep reports the **median** of
+//! per-pair ratios with its interquartile range instead, and runs the
+//! pairs in ABBA order (dense first on even reps, sparse first on odd
+//! ones) so a trend within a pair favours neither side. Its 0% row,
+//! where both sides run the same dense kernel, is the null control.
 //!
 //! Run the full benchmark with:
 //!
@@ -25,6 +30,7 @@
 //!
 //! which writes `BENCH_conv3d.json` into the current directory.
 
+use p3d_infer::percentile;
 use p3d_nn::{Conv3d, Layer, Mode};
 use p3d_tensor::parallel::set_thread_override;
 use p3d_tensor::{BlockPattern, Tensor, TensorRng};
@@ -351,7 +357,7 @@ impl SparsitySweepConfig {
         SparsitySweepConfig {
             conv: Conv3dBenchConfig {
                 out_channels: 64,
-                reps: 15,
+                reps: 31,
                 ..Conv3dBenchConfig::standard()
             },
             tile: (4, 4),
@@ -378,17 +384,18 @@ pub struct SparsityResult {
     pub enabled_blocks: usize,
     /// Total blocks in the grid.
     pub total_blocks: usize,
-    /// Best dense forward wall time, milliseconds (masked weights, no
+    /// Median dense forward wall time, milliseconds (masked weights, no
     /// pattern installed).
     pub dense_ms: f64,
-    /// Best block-sparse forward wall time, milliseconds (same masked
+    /// Median block-sparse forward wall time, milliseconds (same masked
     /// weights, block-CSR path).
     pub sparse_ms: f64,
-    /// `>1` means block skipping pays: the best *paired* dense/sparse
-    /// ratio over reps (each rep times both sides back-to-back, so the
-    /// ratio is immune to the cross-rep drift that whipsawed the
-    /// per-side minima this field used to be derived from).
+    /// `>1` means block skipping pays: the median of the per-pair
+    /// dense/sparse ratios (each rep times both sides back-to-back, in
+    /// ABBA order, so slow drift cancels within a pair).
     pub speedup_vs_dense: f64,
+    /// Interquartile range (`q3 - q1`) of the per-pair ratios.
+    pub speedup_iqr: f64,
     /// Dense-equivalent throughput of the sparse forward: the full
     /// (unpruned) MAC count divided by the sparse wall time. This is the
     /// paper's "effective GFLOP/s" — it rises with sparsity because
@@ -414,14 +421,14 @@ pub struct SparsitySweepReport {
 /// precondition under which skipping is exact), and the same masked
 /// layer is forwarded through both compute paths — dense GEMM on the
 /// zero-laden weights vs the block-CSR kernel that visits only enabled
-/// blocks. Dense and sparse reps are interleaved so drift hits both
-/// alike, and the reported speedup is the best paired per-rep ratio.
+/// blocks (and im2cols only their live rows). Each rep times one dense
+/// and one sparse forward back-to-back, in ABBA order, and the reported
+/// speedup is the median per-pair ratio with its IQR.
 ///
-/// The 0%-pruned row now exercises the dense-fallback policy: a
-/// fully-enabled pattern makes `install_block_patterns` keep the dense
-/// kernel (see `BlockPattern::prefers_dense`), so both timed sides run
-/// identical code and the row documents fallback parity instead of the
-/// old ~0.87x block-CSR overhead.
+/// The 0%-pruned row is the null control: a fully-enabled pattern makes
+/// `install_block_patterns` keep the dense kernel (see
+/// `BlockPattern::prefers_dense`), so both timed sides run identical
+/// code and its ratio should read 1.0 within noise.
 ///
 /// # Panics
 ///
@@ -496,26 +503,37 @@ pub fn run_sparsity_sweep(cfg: &SparsitySweepConfig) -> SparsitySweepReport {
             "sparse forward diverged from dense at pruned fraction {frac}"
         );
 
-        let mut dense_ms = f64::INFINITY;
-        let mut sparse_ms = f64::INFINITY;
-        let mut speedup = 0.0f64;
-        for _ in 0..c.reps.max(1) {
-            conv.install_block_patterns(&mut |_| None);
+        // One timed forward, dense (`None`) or block-sparse; installing
+        // the pattern (the block-CSR compile) stays outside the timing.
+        let mut time_forward = |pat: Option<&BlockPattern>| {
+            conv.install_block_patterns(&mut |_| pat.cloned());
             let t0 = Instant::now();
             std::hint::black_box(conv.forward(&x, Mode::Eval));
-            let d_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            conv.install_block_patterns(&mut |_| Some(pattern.clone()));
-            let t0 = Instant::now();
-            std::hint::black_box(conv.forward(&x, Mode::Eval));
-            let s_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            dense_ms = dense_ms.min(d_ms);
-            sparse_ms = sparse_ms.min(s_ms);
-            // Paired ratio: both sides of one rep saw the same host
-            // conditions, so the best pair is drift-free.
-            speedup = speedup.max(d_ms / s_ms.max(1e-12));
+            t0.elapsed().as_secs_f64() * 1e3
+        };
+        let reps = c.reps.max(1);
+        let (mut dense, mut sparse, mut ratios) = (
+            Vec::with_capacity(reps),
+            Vec::with_capacity(reps),
+            Vec::with_capacity(reps),
+        );
+        for rep in 0..reps {
+            // ABBA: alternate which side goes first.
+            let (d_ms, s_ms) = if rep % 2 == 0 {
+                let d = time_forward(None);
+                (d, time_forward(Some(&pattern)))
+            } else {
+                let s = time_forward(Some(&pattern));
+                (time_forward(None), s)
+            };
+            dense.push(d_ms);
+            sparse.push(s_ms);
+            ratios.push(d_ms / s_ms.max(1e-12));
         }
+        for v in [&mut dense, &mut sparse, &mut ratios] {
+            v.sort_by(f64::total_cmp);
+        }
+        let (dense_ms, sparse_ms) = (percentile(&dense, 50.0), percentile(&sparse, 50.0));
 
         let cols_n = d * h * w; // stride 1, same-padding: output == input volume
         let dense_flops = 2.0 * c.batch as f64 * m as f64 * rows as f64 * cols_n as f64;
@@ -525,7 +543,8 @@ pub fn run_sparsity_sweep(cfg: &SparsitySweepConfig) -> SparsitySweepReport {
             total_blocks: total,
             dense_ms,
             sparse_ms,
-            speedup_vs_dense: speedup,
+            speedup_vs_dense: percentile(&ratios, 50.0),
+            speedup_iqr: percentile(&ratios, 75.0) - percentile(&ratios, 25.0),
             effective_gflops: dense_flops / (sparse_ms * 1e-3) / 1e9,
             bitwise_equal,
         });
@@ -550,13 +569,14 @@ impl SparsitySweepReport {
         s.push_str("    \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             s.push_str(&format!(
-                "      {{\"pruned_fraction\": {:.2}, \"enabled_blocks\": {}, \"total_blocks\": {}, \"dense_ms\": {:.4}, \"sparse_ms\": {:.4}, \"speedup_vs_dense\": {:.3}, \"effective_gflops\": {:.3}, \"bitwise_equal\": {}}}{}\n",
+                "      {{\"pruned_fraction\": {:.2}, \"enabled_blocks\": {}, \"total_blocks\": {}, \"dense_ms\": {:.4}, \"sparse_ms\": {:.4}, \"speedup_vs_dense\": {:.3}, \"speedup_iqr\": {:.3}, \"effective_gflops\": {:.3}, \"bitwise_equal\": {}}}{}\n",
                 r.pruned_fraction,
                 r.enabled_blocks,
                 r.total_blocks,
                 r.dense_ms,
                 r.sparse_ms,
                 r.speedup_vs_dense,
+                r.speedup_iqr,
                 r.effective_gflops,
                 r.bitwise_equal,
                 if i + 1 < self.results.len() { "," } else { "" }
@@ -601,6 +621,7 @@ mod tests {
             assert!(r.bitwise_equal);
             assert!(r.dense_ms.is_finite() && r.sparse_ms.is_finite());
             assert!(r.enabled_blocks >= 1 && r.enabled_blocks <= r.total_blocks);
+            assert!(r.speedup_vs_dense > 0.0 && r.speedup_iqr >= 0.0);
         }
         // The 0.0 row keeps every block.
         assert_eq!(sweep.results[0].enabled_blocks, sweep.results[0].total_blocks);
@@ -608,6 +629,7 @@ mod tests {
         let json = report.to_json_with_sweep(Some(&sweep));
         assert!(json.contains("\"sparsity_sweep\""));
         assert!(json.contains("\"pruned_fraction\": 0.50"));
+        assert!(json.contains("\"speedup_iqr\": "));
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),

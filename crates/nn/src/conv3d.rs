@@ -118,6 +118,46 @@ impl Conv3d {
         self.pad
     }
 
+    /// One clip's convolution, shared by `forward` and `eval_into`:
+    /// im2col of the live rows of `src` into `cols` (a
+    /// `col_rows * col_cols` scratch), the GEMM into `dst`, then the bias.
+    ///
+    /// With a block pattern installed only the live k-ranges
+    /// ([`BlockSparseWeights::live_k_ranges`]) are unfolded: no enabled
+    /// block reads the others, so the block-CSR kernel never touches
+    /// them and whatever `cols` held there stays unread. Bitwise
+    /// identical to the dense kernel on the masked weights.
+    fn clip_into(&self, geom: &ConvGeometry, src: &[f32], cols: &mut [f32], dst: &mut [f32]) {
+        let rows = geom.col_rows();
+        let cols_n = geom.col_cols();
+        let full = [(0, rows)];
+        let live = self
+            .sparse
+            .as_ref()
+            .map_or(&full[..], |bs| bs.live_k_ranges());
+        im2col_into(src, geom, live, cols);
+        match &self.sparse {
+            Some(bs) => gemm_bs_into(bs, cols, cols_n, dst),
+            // The weight tensor is row-major [M, N, Kd, Kr, Kc], i.e.
+            // already the [M, rows] matrix — used directly.
+            None => gemm_into(
+                self.weight.value.data(),
+                self.out_channels(),
+                rows,
+                cols,
+                cols_n,
+                dst,
+            ),
+        }
+        if let Some(bias) = &self.bias {
+            for (ch, &bv) in bias.value.data().iter().enumerate() {
+                for x in &mut dst[ch * cols_n..(ch + 1) * cols_n] {
+                    *x += bv;
+                }
+            }
+        }
+    }
+
     fn geometry(&self, input_shape: Shape) -> ConvGeometry {
         assert_eq!(
             input_shape.rank(),
@@ -153,31 +193,20 @@ impl Layer for Conv3d {
         let rows = geom.col_rows();
         let cols_n = geom.col_cols();
 
-        // The weight tensor is row-major [M, N, Kd, Kr, Kc], i.e. already
-        // the [M, rows] matrix — used directly, no reshape clone.
-        let w = self.weight.value.data();
-        let sparse = self.sparse.as_ref();
         let mut out = Tensor::zeros(Shape::d5(batch, m, od, oh, ow));
         let per_out = m * cols_n;
-        let bias_data = self.bias.as_ref().map(|b| b.value.data());
+        let this = &*self;
         // Batch-parallel: each worker owns one clip's output slice. The
         // inner GEMM detects the nesting and runs serially, so this
         // never oversubscribes (see `p3d_tensor::parallel`).
         parallel_chunk_map(out.data_mut(), per_out, |b, dst| {
-            let cols = im2col(&input.data()[b * per_in..(b + 1) * per_in], &geom);
-            match sparse {
-                // Block-sparse: visit only enabled Tm x Tn blocks. Bitwise
-                // identical to the dense kernel on the masked weights.
-                Some(bs) => gemm_bs_into(bs, cols.data(), cols_n, dst),
-                None => gemm_into(w, m, rows, cols.data(), cols_n, dst),
-            }
-            if let Some(bd) = bias_data {
-                for (ch, &bv) in bd.iter().enumerate() {
-                    for x in &mut dst[ch * cols_n..(ch + 1) * cols_n] {
-                        *x += bv;
-                    }
-                }
-            }
+            let mut cols = vec![0.0f32; rows * cols_n];
+            this.clip_into(
+                &geom,
+                &input.data()[b * per_in..(b + 1) * per_in],
+                &mut cols,
+                dst,
+            );
         });
         if mode == Mode::Train {
             self.cached_input = Some(input.clone());
@@ -304,30 +333,18 @@ impl Layer for Conv3d {
 
         let out = arena.acquire(Shape::d5(batch, m, od, oh, ow));
         arena.ensure_scratch(rows * cols_n);
-        // The weight tensor is row-major [M, N, Kd, Kr, Kc], i.e. already
-        // the [M, rows] matrix — used directly, exactly as in `forward`.
-        let w = self.weight.value.data();
-        let sparse = self.sparse.as_ref();
-        let bias_data = self.bias.as_ref().map(|b| b.value.data());
         let (src, scratch, dst) = arena.conv_views(input, out, rows * cols_n);
         // Serial over clips: the batched engine parallelises over clips
-        // one level up (one worker per clip), and each clip's arithmetic
-        // here is identical to `forward`'s per-clip kernel, so outputs
-        // are bitwise equal to the allocating path.
+        // one level up (one worker per clip). Each clip runs the same
+        // `clip_into` as `forward`, so outputs are bitwise equal to the
+        // allocating path.
         for b in 0..batch {
-            im2col_into(&src[b * per_in..(b + 1) * per_in], &geom, scratch);
-            let dst_b = &mut dst[b * per_out..(b + 1) * per_out];
-            match sparse {
-                Some(bs) => gemm_bs_into(bs, scratch, cols_n, dst_b),
-                None => gemm_into(w, m, rows, scratch, cols_n, dst_b),
-            }
-            if let Some(bd) = bias_data {
-                for (ch, &bv) in bd.iter().enumerate() {
-                    for x in &mut dst_b[ch * cols_n..(ch + 1) * cols_n] {
-                        *x += bv;
-                    }
-                }
-            }
+            self.clip_into(
+                &geom,
+                &src[b * per_in..(b + 1) * per_in],
+                scratch,
+                &mut dst[b * per_out..(b + 1) * per_out],
+            );
         }
         arena.release(input);
         out

@@ -58,27 +58,32 @@ pub fn im2col(input: &[f32], geom: &ConvGeometry) -> Tensor {
     let rows = geom.col_rows();
     let cols = geom.col_cols();
     let mut out = vec![0.0f32; rows * cols];
-    im2col_into(input, geom, &mut out);
+    im2col_into(input, geom, &[(0, rows)], &mut out);
     Tensor::from_vec(Shape::d2(rows, cols), out)
 }
 
-/// Allocation-free [`im2col`] into a caller-provided buffer of length
-/// `col_rows() * col_cols()`.
+/// Allocation-free [`im2col`] of the column-matrix rows in `rows`
+/// (ascending `[r0, r1)` ranges) into a caller-provided buffer of
+/// length `col_rows() * col_cols()`.
 ///
-/// Every position is written — padding positions get an **explicit**
-/// zero rather than relying on a pre-zeroed buffer — so a scratch buffer
-/// reused across forwards (the inference arena's steady state) needs no
-/// clearing between calls.
+/// Every position of a listed row is written — padding positions get an
+/// **explicit** zero rather than relying on a pre-zeroed buffer — so a
+/// scratch buffer reused across forwards (the inference arena's steady
+/// state) needs no clearing between calls. Rows outside `rows` are left
+/// untouched: a block-sparse conv passes its live k-ranges
+/// (`BlockSparseWeights::live_k_ranges`), whose GEMM never reads the
+/// others. The full matrix is `&[(0, geom.col_rows())]`.
 ///
 /// # Panics
 ///
-/// Panics if `out` has the wrong length.
-pub fn im2col_into(input: &[f32], geom: &ConvGeometry, out: &mut [f32]) {
+/// Panics if `out` has the wrong length or a range ends past
+/// `col_rows()`.
+pub fn im2col_into(input: &[f32], geom: &ConvGeometry, rows: &[(usize, usize)], out: &mut [f32]) {
     let (n, (di, hi, wi)) = (geom.channels, geom.input);
     let (kd, kr, kc) = geom.kernel;
     let (sd, sr, sc) = geom.stride;
     let (pd, pr, pc) = geom.pad;
-    let (od, oh, ow) = geom.output();
+    let (_, oh, ow) = geom.output();
     debug_assert_eq!(input.len(), n * di * hi * wi);
 
     let cols = geom.col_cols();
@@ -88,38 +93,43 @@ pub fn im2col_into(input: &[f32], geom: &ConvGeometry, out: &mut [f32]) {
         "im2col_into: out buffer length mismatch"
     );
 
-    let mut row = 0usize;
-    for ch in 0..n {
-        let ch_base = ch * di * hi * wi;
-        for kd_i in 0..kd {
-            for kr_i in 0..kr {
-                for kc_i in 0..kc {
-                    let row_base = row * cols;
-                    let mut col = 0usize;
-                    for od_i in 0..od {
-                        let d = (od_i * sd + kd_i) as isize - pd as isize;
-                        let d_ok = d >= 0 && (d as usize) < di;
-                        for oh_i in 0..oh {
-                            let h = (oh_i * sr + kr_i) as isize - pr as isize;
-                            let h_ok = h >= 0 && (h as usize) < hi;
-                            if !(d_ok && h_ok) {
-                                out[row_base + col..row_base + col + ow].fill(0.0);
-                                col += ow;
-                                continue;
-                            }
-                            let plane = ch_base + d as usize * hi * wi + h as usize * wi;
-                            for ow_i in 0..ow {
-                                let w = (ow_i * sc + kc_i) as isize - pc as isize;
-                                out[row_base + col] = if w >= 0 && (w as usize) < wi {
-                                    input[plane + w as usize]
-                                } else {
-                                    0.0
-                                };
-                                col += 1;
-                            }
+    let kvol = kd * kr * kc;
+    for &(r0, r1) in rows {
+        assert!(
+            r1 <= geom.col_rows(),
+            "im2col_into: row range past col_rows"
+        );
+        for row in r0..r1 {
+            // Row `row` is input channel `ch` at kernel offset
+            // `(kd_i, kr_i, kc_i)`, row-major over `[N, Kd, Kr, Kc]`.
+            let (ch, tap) = (row / kvol, row % kvol);
+            let (kd_i, kr_i, kc_i) = (tap / (kr * kc), (tap / kc) % kr, tap % kc);
+            let ch_base = ch * di * hi * wi;
+            // Output columns `w_lo..w_hi` read input column
+            // `ow_i * sc + kc_i - pc` inside `[0, wi)`; the rest are padding.
+            let w_lo = pc.saturating_sub(kc_i).div_ceil(sc).min(ow);
+            let w_hi = (pc + wi).saturating_sub(kc_i).div_ceil(sc).clamp(w_lo, ow);
+            let out_row = &mut out[row * cols..(row + 1) * cols];
+            for (od_i, out_plane) in out_row.chunks_exact_mut(oh * ow).enumerate() {
+                let d = (od_i * sd + kd_i) as isize - pd as isize;
+                let d_ok = d >= 0 && (d as usize) < di;
+                for (oh_i, seg) in out_plane.chunks_exact_mut(ow).enumerate() {
+                    let h = (oh_i * sr + kr_i) as isize - pr as isize;
+                    if !(d_ok && h >= 0 && (h as usize) < hi) || w_lo == w_hi {
+                        seg.fill(0.0);
+                        continue;
+                    }
+                    let plane = ch_base + d as usize * hi * wi + h as usize * wi;
+                    let src = &input[plane + w_lo * sc + kc_i - pc..plane + wi];
+                    seg[..w_lo].fill(0.0);
+                    if sc == 1 {
+                        seg[w_lo..w_hi].copy_from_slice(&src[..w_hi - w_lo]);
+                    } else {
+                        for (o, &v) in seg[w_lo..w_hi].iter_mut().zip(src.iter().step_by(sc)) {
+                            *o = v;
                         }
                     }
-                    row += 1;
+                    seg[w_hi..].fill(0.0);
                 }
             }
         }
@@ -264,8 +274,96 @@ mod tests {
         let input: Vec<f32> = (0..2 * 2 * 3 * 3).map(|x| x as f32 - 7.0).collect();
         let fresh = im2col(&input, &g);
         let mut dirty = vec![f32::NAN; g.col_rows() * g.col_cols()];
-        im2col_into(&input, &g, &mut dirty);
+        im2col_into(&input, &g, &[(0, g.col_rows())], &mut dirty);
         assert_eq!(dirty.as_slice(), fresh.data());
+    }
+
+    #[test]
+    fn im2col_matches_per_element_definition() {
+        // Every entry against the definition, over strides and pads that
+        // put whole output columns in the padding on either side.
+        for (k, s, p) in [
+            (1, 1, 0),
+            (3, 1, 1),
+            (5, 2, 2),
+            (3, 3, 2),
+            (2, 2, 1),
+            (1, 2, 1),
+        ] {
+            let g = ConvGeometry {
+                channels: 2,
+                input: (3, 4, 5),
+                kernel: (k.min(3), k, k),
+                stride: (1, s, s),
+                pad: (p.min(1), p, p),
+            };
+            let (di, hi, wi) = g.input;
+            let input: Vec<f32> = (0..2 * di * hi * wi).map(|x| x as f32 + 1.0).collect();
+            let cols = im2col(&input, &g);
+            let (od, oh, ow) = g.output();
+            let (kd, kr, kc) = g.kernel;
+            for row in 0..g.col_rows() {
+                let (ch, tap) = (row / (kd * kr * kc), row % (kd * kr * kc));
+                let (a, b, c) = (tap / (kr * kc), (tap / kc) % kr, tap % kc);
+                for col in 0..od * oh * ow {
+                    let (x, y, z) = (col / (oh * ow), (col / ow) % oh, col % ow);
+                    let d = (x * g.stride.0 + a) as isize - g.pad.0 as isize;
+                    let h = (y * s + b) as isize - p as isize;
+                    let w = (z * s + c) as isize - p as isize;
+                    let inside = (0..di as isize).contains(&d)
+                        && (0..hi as isize).contains(&h)
+                        && (0..wi as isize).contains(&w);
+                    let want = if inside {
+                        input[((ch * di + d as usize) * hi + h as usize) * wi + w as usize]
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(
+                        cols.data()[row * od * oh * ow + col],
+                        want,
+                        "kernel {k} stride {s} pad {p}: row {row} col {col}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn im2col_into_writes_only_the_listed_rows() {
+        // Live rows match the full unfold bit for bit; a sentinel in every
+        // other row survives untouched.
+        let g = ConvGeometry {
+            channels: 3,
+            input: (3, 4, 5),
+            kernel: (2, 3, 2),
+            stride: (1, 2, 1),
+            pad: (1, 1, 0),
+        };
+        let input: Vec<f32> = (0..3 * 3 * 4 * 5).map(|x| x as f32 * 0.25 - 9.0).collect();
+        let full = im2col(&input, &g);
+        let cols = g.col_cols();
+        // Rows straddle channel boundaries (12 rows per channel).
+        let live = [(0, 1), (5, 14), (30, 36)];
+        let sentinel = f32::from_bits(0x7fc0_dead);
+        let mut out = vec![sentinel; g.col_rows() * cols];
+        im2col_into(&input, &g, &live, &mut out);
+        for row in 0..g.col_rows() {
+            let got = &out[row * cols..(row + 1) * cols];
+            if live.iter().any(|&(r0, r1)| (r0..r1).contains(&row)) {
+                let want = &full.data()[row * cols..(row + 1) * cols];
+                assert!(
+                    got.iter()
+                        .zip(want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "live row {row} differs from im2col"
+                );
+            } else {
+                assert!(
+                    got.iter().all(|v| v.to_bits() == sentinel.to_bits()),
+                    "dead row {row} was written"
+                );
+            }
+        }
     }
 
     #[test]

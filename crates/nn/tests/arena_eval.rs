@@ -5,7 +5,7 @@ use p3d_nn::{
     BatchNorm3d, Conv3d, EvalArena, Flatten, GlobalAvgPool, Layer, Linear, MaxPool3d, Mode, Relu,
     ResidualBlock, Sequential,
 };
-use p3d_tensor::{Tensor, TensorRng};
+use p3d_tensor::{BlockPattern, Tensor, TensorRng};
 
 /// A small network exercising every layer kind that overrides
 /// `eval_into`: conv, batch norm, relu, max pool, residual (identity and
@@ -129,4 +129,51 @@ fn default_eval_into_fallback_matches_forward() {
     let out = net.eval_into(&mut arena, input);
     assert_eq!(arena.buf(out), want.data());
     assert_eq!(arena.stats().fallback_events, 1);
+}
+
+#[test]
+fn dead_block_columns_ignore_stale_scratch() {
+    // A block-sparse conv unfolds only its live im2col rows, so the dead
+    // rows of the shared arena scratch keep what an earlier layer left.
+    // Fill them with NaN through a wider layer first: the pruned conv
+    // must still match its dense forward bit for bit.
+    let mut rng = TensorRng::seed(17);
+    let mut wide = Conv3d::new("wide", 2, 8, (1, 3, 3), (1, 1, 1), (0, 1, 1), false, &mut rng);
+    let mut conv = Conv3d::new("pruned", 8, 4, (1, 3, 3), (1, 1, 1), (0, 1, 1), true, &mut rng);
+
+    // k = 4 channels x 9 taps; one block column per input channel.
+    // Columns 1 and 3 are dead in both block rows.
+    let (tm, tk) = (4, 9);
+    #[rustfmt::skip]
+    let keep = vec![
+        false, false, true, false,
+        true,  false, true, false,
+    ];
+    let pattern = BlockPattern { m: 8, k: 36, tm, tk, keep };
+    for (i, v) in conv.weight.value.data_mut().iter_mut().enumerate() {
+        let (r, c) = (i / 36, i % 36);
+        if !pattern.keep[(r / tm) * 4 + c / tk] {
+            *v = 0.0;
+        }
+    }
+    conv.install_block_patterns(&mut |_| Some(pattern.clone()));
+    let live = conv.block_sparse().expect("pattern installed").live_k_ranges().to_vec();
+    assert_eq!(live, vec![(0, 9), (18, 27)], "test needs dead block columns");
+
+    let x = rng.uniform_tensor([2, 4, 3, 6, 6], -1.0, 1.0);
+    let mut arena = EvalArena::new();
+    let poison = Tensor::full([2, 8, 3, 6, 6], f32::NAN);
+    arena.reset();
+    let id = arena.load_clip(&poison);
+    let _ = wide.eval_into(&mut arena, id);
+    arena.reset();
+    let id = arena.load_clip(&x);
+    let out = conv.eval_into(&mut arena, id);
+    let sparse = arena.buf(out).to_vec();
+
+    conv.install_block_patterns(&mut |_| None);
+    let dense = conv.forward(&x, Mode::Eval);
+    assert!(sparse.iter().all(|v| v.is_finite()), "stale scratch leaked");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&sparse), bits(dense.data()));
 }

@@ -36,6 +36,14 @@
 //! operand, so `NaN`/`Inf` sitting on the right of a pruned zero cannot
 //! leak into the output. Right-operand zeros are *not* skipped.
 //!
+//! The block-sparse kernel makes the contract stronger: rows of the
+//! right operand outside [`BlockSparseWeights::live_k_ranges`] — the
+//! `k` ranges no enabled block reads — are never read at all, not even
+//! by the pack. They may hold anything (stale scratch, `NaN`), which is
+//! what lets a caller skip *producing* them: `Conv3d` im2cols only the
+//! live rows, the CPU mirror of the accelerator skipping the load of a
+//! pruned block.
+//!
 //! # Packing scheme
 //!
 //! The right operand is repacked into column panels of [`NR`] columns,
@@ -44,7 +52,9 @@
 //! `NR` values of one `p` step are contiguous, and any `k` sub-range of
 //! a panel is contiguous too — which is exactly what lets the
 //! block-sparse kernel stream the same packed buffer while visiting
-//! only enabled `k` ranges. Packing is pure data movement (no
+//! only enabled `k` ranges, and pack only the live ranges (the rows in
+//! between keep whatever an earlier call left there and are never
+//! read). Packing is pure data movement (no
 //! arithmetic), so it cannot affect results. The pack buffer is a
 //! thread-local, growable scratch: steady-state calls perform **zero
 //! heap allocations** once the scratch has grown to the largest shape
@@ -204,17 +214,21 @@ fn panel_count(n: usize) -> usize {
     n.div_ceil(NR)
 }
 
-/// Packs row-major `b [k, n]` into `NR`-column panels
-/// (`packed[jp*k*NR + p*NR + j]`), zero-padding columns past `n`.
+/// Packs the rows `rows` (ascending `[p0, p1)` ranges) of row-major
+/// `b [k, n]` into `NR`-column panels (`packed[jp*k*NR + p*NR + j]`),
+/// zero-padding columns past `n`. Rows outside `rows` are neither read
+/// from `b` nor written in `packed`; the dense kernels pass `[(0, k)]`.
 /// Panels are independent, so packing parallelises freely — it is pure
 /// data movement and cannot affect numeric results.
-fn pack_b_nn(b: &[f32], k: usize, n: usize, packed: &mut [f32]) {
+fn pack_b_nn(b: &[f32], k: usize, n: usize, rows: &[(usize, usize)], packed: &mut [f32]) {
     parallel_chunk_map(packed, k * NR, |jp, panel| {
         let j0 = jp * NR;
         let jw = NR.min(n - j0);
-        for (p, prow) in panel.chunks_mut(NR).enumerate() {
-            prow[..jw].copy_from_slice(&b[p * n + j0..p * n + j0 + jw]);
-            prow[jw..].fill(0.0);
+        for &(p0, p1) in rows {
+            for (p, prow) in (p0..p1).zip(panel[p0 * NR..p1 * NR].chunks_exact_mut(NR)) {
+                prow[..jw].copy_from_slice(&b[p * n + j0..p * n + j0 + jw]);
+                prow[jw..].fill(0.0);
+            }
         }
     });
 }
@@ -467,7 +481,9 @@ pub fn gemm_packed_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out:
     assert_eq!(a.len(), m * k, "gemm_packed_into: lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_packed_into: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_packed_into: out length mismatch");
-    gemm_packed_driver(a, m, k, n, out, |packed| pack_b_nn(b, k, n, packed));
+    gemm_packed_driver(a, m, k, n, out, |packed| {
+        pack_b_nn(b, k, n, &[(0, k)], packed)
+    });
 }
 
 /// Packed register-tiled `A * B^T`:
@@ -632,11 +648,17 @@ pub const DENSE_FALLBACK_ENABLED_FRACTION: f32 = 0.95;
 /// updating the surviving values, [`BlockSparseWeights::refresh`]
 /// repacks values in place — `O(m k)` against the `O(m k n)` product —
 /// without reallocating.
+///
+/// The union over all block rows of the enabled block columns is kept
+/// as [`BlockSparseWeights::live_k_ranges`]: the only rows of the right
+/// operand [`gemm_bs_into`] ever reads. The rest may hold anything.
 #[derive(Debug, Clone)]
 pub struct BlockSparseWeights {
     m: usize,
     k: usize,
     tm: usize,
+    /// Merged, ascending `[p0, p1)` k-ranges read by any enabled block.
+    live_k: Vec<(usize, usize)>,
     /// CSR row pointer into `col_idx` / `col_ranges`.
     row_ptr: Vec<usize>,
     /// Enabled block-column indices per block row, ascending.
@@ -692,10 +714,23 @@ impl BlockSparseWeights {
             values_len += rows_in.div_ceil(MR) * ks * MR;
             row_values_ofs.push(values_len);
         }
+        let mut live_k: Vec<(usize, usize)> = Vec::new();
+        for bj in 0..bcols {
+            if !(0..brows).any(|bi| pattern.keep[bi * bcols + bj]) {
+                continue;
+            }
+            let p0 = bj * pattern.tk;
+            let p1 = (p0 + pattern.tk).min(pattern.k);
+            match live_k.last_mut() {
+                Some(last) if last.1 == p0 => last.1 = p1,
+                _ => live_k.push((p0, p1)),
+            }
+        }
         let mut bs = BlockSparseWeights {
             m: pattern.m,
             k: pattern.k,
             tm: pattern.tm,
+            live_k,
             row_ptr,
             col_idx,
             col_ranges,
@@ -770,15 +805,25 @@ impl BlockSparseWeights {
     pub fn total_blocks(&self) -> usize {
         self.total_blocks
     }
+
+    /// The `[p0, p1)` k-ranges some enabled block reads: the union over
+    /// all block rows of the enabled block columns, merged and
+    /// ascending. Empty when every block is disabled. [`gemm_bs_into`]
+    /// reads only these rows of its right operand.
+    pub fn live_k_ranges(&self) -> &[(usize, usize)] {
+        &self.live_k
+    }
 }
 
 /// Block-sparse GEMM: `w (compiled [m, k]) x b [k, n] -> out [m, n]`,
 /// visiting **only enabled blocks**.
 ///
-/// The right operand is packed exactly as in [`gemm_packed_into`]; each
+/// Only the rows of `b` inside [`BlockSparseWeights::live_k_ranges`] are
+/// packed, into the same panel layout as [`gemm_packed_into`]; each
 /// block row then streams its compacted value panels against the
-/// enabled `k` sub-ranges of the packed panels. Because disabled blocks
-/// of the compiled weights are exactly zero and enabled ranges are
+/// enabled `k` sub-ranges of the packed panels. Rows of `b` outside the
+/// live ranges are never read and may hold anything. Because disabled
+/// blocks of the compiled weights are exactly zero and enabled ranges are
 /// visited in ascending `k` order, the output is **bitwise identical**
 /// to [`gemm_into`] on the masked dense weights — the CPU mirror of the
 /// accelerator's lossless block skip. Work scales with the enabled
@@ -802,7 +847,7 @@ pub fn gemm_bs_into(w: &BlockSparseWeights, b: &[f32], n: usize, out: &mut [f32]
     }
     let packed_len = panel_count(n) * w.k * NR;
     with_pack_scratch(packed_len, |packed| {
-        pack_b_nn(b, w.k, n, packed);
+        pack_b_nn(b, w.k, n, &w.live_k, packed);
         let brows = w.block_rows();
         let workers = max_threads().clamp(1, brows);
         let band_brows = brows.div_ceil(workers);
@@ -1234,6 +1279,35 @@ mod tests {
         gemm_into(&masked2, 8, 12, &b, 9, &mut dense);
         gemm_bs_into(&bs, &b, 9, &mut sparse);
         assert_eq!(dense, sparse);
+    }
+
+    #[test]
+    fn live_k_ranges_merge_enabled_block_columns() {
+        // 2 block rows x 5 block columns of width 3, k = 14 (ragged last
+        // column). Column 0 enabled in row 0 only, columns 1 and 4 in
+        // row 1, columns 2 and 3 nowhere.
+        #[rustfmt::skip]
+        let keep = vec![
+            true,  false, false, false, false,
+            false, true,  false, false, true,
+        ];
+        let pat = BlockPattern {
+            m: 4,
+            k: 14,
+            tm: 2,
+            tk: 3,
+            keep,
+        };
+        let bs = BlockSparseWeights::compile(&[0.0; 4 * 14], &pat);
+        // Columns 0 and 1 merge into [0, 6); column 4 is ragged [12, 14).
+        assert_eq!(bs.live_k_ranges(), &[(0, 6), (12, 14)]);
+
+        let none = BlockPattern {
+            keep: vec![false; 10],
+            ..pat
+        };
+        let bs = BlockSparseWeights::compile(&[0.0; 4 * 14], &none);
+        assert!(bs.live_k_ranges().is_empty());
     }
 
     #[test]

@@ -15,6 +15,50 @@ use p3d_tensor::gemm::{
 };
 use p3d_tensor::{gemm_bs_into, gemm_into, gemm_nt_into, BlockPattern, BlockSparseWeights};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises the tests that flip `simd::force_scalar`: the flag is
+/// process-wide, so one test switching it back off could otherwise land
+/// between another test's switch-on and its scalar run.
+static SIMD_FLAG: Mutex<()> = Mutex::new(());
+
+fn lock_simd_flag() -> MutexGuard<'static, ()> {
+    SIMD_FLAG.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A `[m, k]` pattern over `tm x tk` blocks whose keep bitmap is `keep`
+/// (cycled) with the block columns flagged in `dead` (cycled) disabled
+/// in every block row.
+fn pattern_with_dead_columns(
+    m: usize,
+    k: usize,
+    tm: usize,
+    tk: usize,
+    keep: &[bool],
+    dead: &[bool],
+) -> BlockPattern {
+    let bcols = k.div_ceil(tk);
+    BlockPattern {
+        m,
+        k,
+        tm,
+        tk,
+        keep: (0..m.div_ceil(tm) * bcols)
+            .map(|i| keep[i % keep.len()] && !dead[(i % bcols) % dead.len()])
+            .collect(),
+    }
+}
+
+/// Zeroes the entries of `a` (`[m, k]`) outside the enabled blocks.
+fn mask_weights(a: &mut [f32], pattern: &BlockPattern) {
+    let bcols = pattern.block_cols();
+    for (i, v) in a.iter_mut().enumerate() {
+        let (r, c) = (i / pattern.k, i % pattern.k);
+        if !pattern.keep[(r / pattern.tm) * bcols + c / pattern.tk] {
+            *v = 0.0;
+        }
+    }
+}
 
 /// Deterministic pseudo-random f32s in [-1, 1), with an exact-zero
 /// fraction so the zero-skip path is exercised on every case.
@@ -181,6 +225,84 @@ proptest! {
         prop_assert_eq!(bits(&dense), bits(&sparse));
     }
 
+    /// `live_k_ranges` is exactly the union over block rows of the
+    /// enabled block columns, as ascending, disjoint, non-adjacent
+    /// `[p0, p1)` ranges.
+    #[test]
+    fn live_k_ranges_are_the_merged_union_of_enabled_columns(
+        tm in 1usize..5,
+        tk in 1usize..6,
+        m in 1usize..14,
+        k in 1usize..30,
+        keep in prop::collection::vec(any::<bool>(), 1..12),
+        dead in prop::collection::vec(any::<bool>(), 1..6),
+    ) {
+        let pattern = pattern_with_dead_columns(m, k, tm, tk, &keep, &dead);
+        let w = BlockSparseWeights::compile(&vec![0.0; m * k], &pattern);
+        let ranges = w.live_k_ranges();
+        for pair in ranges.windows(2) {
+            prop_assert!(pair[0].1 < pair[1].0, "ranges not merged/ascending: {:?}", ranges);
+        }
+        let bcols = pattern.block_cols();
+        for p in 0..k {
+            let live = (0..pattern.block_rows()).any(|bi| pattern.keep[bi * bcols + p / tk]);
+            let listed = ranges.iter().any(|&(p0, p1)| p0 < p1 && (p0..p1).contains(&p));
+            prop_assert_eq!(live, listed, "row {} of {:?}", p, ranges);
+        }
+        prop_assert!(ranges.iter().all(|&(p0, p1)| p0 < p1 && p1 <= k));
+    }
+
+    /// Rows of `b` outside `live_k_ranges` never reach the output: with
+    /// them poisoned with NaN, the block-sparse product
+    /// is bitwise equal to the dense product of the masked weights with
+    /// those rows zeroed — on the AVX2 body and on the forced scalar one.
+    /// Patterns always include at least one whole dead block column.
+    #[test]
+    fn dead_rows_of_b_are_never_read(
+        tm in 1usize..6,
+        tk in 1usize..7,
+        brows in 1usize..5,
+        bcols in 2usize..6,
+        ragged_m in 0usize..3,
+        ragged_k in 0usize..4,
+        n in 1usize..2 * NR + 3,
+        seed in any::<u64>(),
+        keep in prop::collection::vec(any::<bool>(), 1..16),
+        dead in prop::collection::vec(any::<bool>(), 1..6),
+    ) {
+        let m = (brows * tm).saturating_sub(ragged_m).max(1);
+        let k = (bcols * tk).saturating_sub(ragged_k).max(1);
+        // Force one existing block column dead in every block row.
+        let mut dead = dead;
+        let reach = dead.len().min(k.div_ceil(tk));
+        dead[(seed % reach as u64) as usize] = true;
+        let pattern = pattern_with_dead_columns(m, k, tm, tk, &keep, &dead);
+        let mut a = values(m * k, seed, 5);
+        mask_weights(&mut a, &pattern);
+        let w = BlockSparseWeights::compile(&a, &pattern);
+        let live = |p: usize| w.live_k_ranges().iter().any(|&(p0, p1)| (p0..p1).contains(&p));
+
+        let b = values(k * n, seed ^ 0x9015, 0);
+        let mut b_poisoned = b.clone();
+        let mut b_zeroed = b;
+        for p in (0..k).filter(|&p| !live(p)) {
+            b_poisoned[p * n..(p + 1) * n].fill(f32::NAN);
+            b_zeroed[p * n..(p + 1) * n].fill(0.0);
+        }
+        let mut dense = vec![f32::NAN; m * n];
+        gemm_into(&a, m, k, &b_zeroed, n, &mut dense);
+
+        let _flag = lock_simd_flag();
+        let mut simd_out = vec![f32::NAN; m * n];
+        gemm_bs_into(&w, &b_poisoned, n, &mut simd_out);
+        p3d_tensor::simd::force_scalar(true);
+        let mut scalar_out = vec![f32::NAN; m * n];
+        gemm_bs_into(&w, &b_poisoned, n, &mut scalar_out);
+        p3d_tensor::simd::force_scalar(false);
+        prop_assert_eq!(bits(&dense), bits(&simd_out), "{} body", p3d_tensor::simd::detected().name());
+        prop_assert_eq!(bits(&dense), bits(&scalar_out), "scalar body");
+    }
+
     /// `refresh` re-reads the weights without recompiling: after an
     /// in-place weight update (same sparsity pattern), the sparse kernel
     /// tracks the new values bitwise.
@@ -240,6 +362,7 @@ fn avx2_and_forced_scalar_f32_kernels_bitwise_identical() {
     let (m, k, n) = (3 * MR + 1, 37, 2 * NR + 5);
     let a = values(m * k, 0xa2c5_0001, 4); // exact zeros exercise zero-skip
     let b = values(k * n, 0xa2c5_0002, 0);
+    let _flag = lock_simd_flag();
 
     // Dense packed kernel, both paths.
     let mut out_simd = vec![f32::NAN; m * n];
